@@ -26,7 +26,6 @@ package heteropar
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/codegen"
@@ -134,8 +133,6 @@ type Options struct {
 	Scenario Scenario
 	// Approach picks the algorithm (Heterogeneous by default).
 	Approach Approach
-	// MaxILPTime caps the solver time per ILP (optional).
-	MaxILPTime time.Duration
 	// DisableChunking turns DOALL iteration splitting off (ablation).
 	DisableChunking bool
 	// EnablePipelining turns on the software-pipelining extension for
@@ -259,7 +256,6 @@ func Parallelize(source string, opts Options) (*Report, error) {
 	span.End()
 	mainClass := opts.Scenario.MainClass(opts.Platform)
 	cfg := core.Config{
-		ILPTimeout:       opts.MaxILPTime,
 		DisableChunking:  opts.DisableChunking,
 		EnablePipelining: opts.EnablePipelining,
 		RegionWorkers:    opts.RegionWorkers,
@@ -333,10 +329,15 @@ func (r *Report) PlanSummary() string {
 // NumTasks returns the number of tasks in the flattened specification.
 func (r *Report) NumTasks() int { return r.Spec.NumTasks() }
 
+// Platform returns the target platform. For the homogeneous approach
+// it differs from Result.Platform, the one-class uniform platform the
+// baseline plans against; MainClass always indexes this one.
+func (r *Report) Platform() *Platform { return r.opts.Platform }
+
 // TheoreticalLimit returns the platform's maximum speedup for the chosen
 // scenario (the dashed line of the paper's figures).
 func (r *Report) TheoreticalLimit() float64 {
-	return r.opts.Platform.TheoreticalSpeedup(r.MainClass)
+	return r.Platform().TheoreticalSpeedup(r.MainClass)
 }
 
 // SolverStatsTable renders the per-region ILP solve records (region,

@@ -34,7 +34,7 @@ func TestAblationTimeoutDegradesGracefully(t *testing.T) {
 	pf := platform.ConfigA()
 	g := buildGraph(t, independentWorkSrc)
 	main := platform.ScenarioAccelerator.MainClass(pf)
-	res, err := Parallelize(g, pf, main, Heterogeneous, Config{MaxILPNodes: 1, ILPTimeout: 1})
+	res, err := Parallelize(g, pf, main, Heterogeneous, Config{MaxILPNodes: 1, ILPWorkBudget: 1})
 	if err != nil {
 		t.Fatalf("tiny budget: %v", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/solstore"
@@ -13,7 +12,7 @@ func TestConfigFingerprint(t *testing.T) {
 	// The zero config and the explicitly-defaulted config are equivalent.
 	var zero Config
 	expl := Config{MaxItemsPerILP: 12, MaxCandsPerClass: 5, MaxILPNodes: 1500,
-		ILPTimeout: 400 * time.Millisecond, ILPRelGap: 0.01}
+		ILPWorkBudget: DefaultILPWorkBudget, ILPRelGap: 0.01}
 	if zero.Fingerprint() != expl.Fingerprint() {
 		t.Errorf("zero config fingerprint %q != defaulted %q", zero.Fingerprint(), expl.Fingerprint())
 	}
@@ -43,7 +42,7 @@ func TestConfigFingerprint(t *testing.T) {
 		{"cands", func(c *Config) { c.MaxCandsPerClass = 3 }},
 		{"tasks", func(c *Config) { c.MaxTasksPerRegion = 4 }},
 		{"nodes", func(c *Config) { c.MaxILPNodes = 100 }},
-		{"timeout", func(c *Config) { c.ILPTimeout = time.Second }},
+		{"work budget", func(c *Config) { c.ILPWorkBudget = 2 * DefaultILPWorkBudget }},
 		{"gap", func(c *Config) { c.ILPRelGap = 0.05 }},
 		{"chunking", func(c *Config) { c.DisableChunking = true }},
 		{"pipelining", func(c *Config) { c.EnablePipelining = true }},

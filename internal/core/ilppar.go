@@ -537,14 +537,12 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		obs.Int("cons", m.NumCons()))
 	start := time.Now() //repolint:allow timenow (solve-time telemetry only)
 	opt := ilp.Options{
-		MaxNodes:  p.cfg.MaxILPNodes,
-		RelGap:    p.cfg.ILPRelGap,
-		Incumbent: incumbent,
-		Workers:   p.cfg.ILPWorkers,
-		Seed:      p.cfg.ILPSeed,
-	}
-	if p.cfg.ILPTimeout > 0 {
-		opt.Deadline = start.Add(p.cfg.ILPTimeout)
+		MaxNodes:   p.cfg.MaxILPNodes,
+		WorkBudget: p.cfg.ILPWorkBudget,
+		RelGap:     p.cfg.ILPRelGap,
+		Incumbent:  incumbent,
+		Workers:    p.cfg.ILPWorkers,
+		Seed:       p.cfg.ILPSeed,
 	}
 	if reg, elog := p.cfg.Metrics, p.cfg.Events; reg != nil || elog != nil {
 		opt.Progress = func(ev ilp.ProgressEvent) {
@@ -584,7 +582,7 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		Cuts:       res.Cuts,
 		WarmStarts: res.WarmStarts,
 		WarmHits:   res.WarmHits,
-		TimedOut:   res.TimedOut,
+		TimedOut:   res.BudgetExhausted,
 		NodeCapped: res.NodeCapped,
 		Time:       dur,
 	})
@@ -594,8 +592,8 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		reg.Counter("ilp.cuts").Add(int64(res.Cuts))
 		reg.Counter("ilp.warm_starts").Add(int64(res.WarmStarts))
 		reg.Counter("ilp.warm_hits").Add(int64(res.WarmHits))
-		if res.TimedOut {
-			reg.Counter("ilp.timeouts").Inc()
+		if res.BudgetExhausted {
+			reg.Counter("ilp.budget_stops").Inc()
 		}
 		if res.NodeCapped {
 			reg.Counter("ilp.node_caps").Inc()
@@ -606,7 +604,7 @@ func (p *Parallelizer) solveWithIncumbent(m *ilp.Model, incumbent []float64, met
 		obs.Int("nodes", res.Nodes),
 		obs.Int("lp_iters", res.LPIters),
 		obs.Float("gap", res.Gap),
-		obs.Bool("timed_out", res.TimedOut),
+		obs.Bool("budget_stop", res.BudgetExhausted),
 		obs.Bool("node_capped", res.NodeCapped))
 	span.End()
 	if debugILP {

@@ -34,6 +34,13 @@ func (a Approach) String() string {
 	return "heterogeneous"
 }
 
+// DefaultILPWorkBudget is the per-ILP work budget (simplex pivots ×
+// model rows) used when Config.ILPWorkBudget is zero. Calibrated on the
+// UTDSP suite (10 programs × platforms A/B × both scenarios × both
+// approaches): every plan and simulated speedup equals the one a budget
+// of 1 000 000 gives, at under half the solve time.
+const DefaultILPWorkBudget = 150000
+
 // Config tunes the parallelizer.
 type Config struct {
 	// MaxItemsPerILP bounds region size via granularity clustering
@@ -47,10 +54,14 @@ type Config struct {
 	// platforms set a small cap to trade a little plan optimality for
 	// tractable solve times.
 	MaxTasksPerRegion int
-	// MaxILPNodes caps branch-and-bound nodes per ILP (default 30000).
+	// MaxILPNodes caps branch-and-bound nodes per ILP (default 1500).
 	MaxILPNodes int
-	// ILPTimeout caps wall time per ILP (default 3s).
-	ILPTimeout time.Duration
+	// ILPWorkBudget caps the solver work per ILP, counted as simplex
+	// pivots × model rows (default DefaultILPWorkBudget). The count is
+	// deterministic, so a search it truncates stops at the same point on
+	// every machine: plans, stats and cached region solves stay
+	// byte-identical under any load.
+	ILPWorkBudget int64
 	// ILPRelGap accepts incumbents within this relative optimality gap
 	// (default 1%); tightening it trades compile time for solution quality.
 	ILPRelGap float64
@@ -89,7 +100,7 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, is fed solver telemetry via the branch-and-
 	// bound progress hook: B&B nodes, LP iterations, incumbent updates,
-	// gaps, timeout and node-cap hits, and solve durations.
+	// gaps, budget stops and node-cap hits, and solve durations.
 	Metrics *obs.Registry
 	// Events, when non-nil, receives structured telemetry events
 	// (solver incumbents, region-store evictions, worker stalls) as
@@ -115,9 +126,9 @@ type Config struct {
 // guaranteed not to change any output.
 func (c Config) Fingerprint() string {
 	d := c.withDefaults()
-	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;timeout:%s;gap:%g;chunk:%t;pipe:%t;hier:%t;workers:%d;seed:%d",
+	return fmt.Sprintf("items:%d;cands:%d;tasks:%d;nodes:%d;work:%d;gap:%g;chunk:%t;pipe:%t;hier:%t;workers:%d;seed:%d",
 		d.MaxItemsPerILP, d.MaxCandsPerClass, d.MaxTasksPerRegion, d.MaxILPNodes,
-		d.ILPTimeout, d.ILPRelGap, !d.DisableChunking, d.EnablePipelining, !d.DisableHierarchy,
+		d.ILPWorkBudget, d.ILPRelGap, !d.DisableChunking, d.EnablePipelining, !d.DisableHierarchy,
 		d.ILPWorkers, d.ILPSeed)
 }
 
@@ -131,8 +142,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxILPNodes == 0 {
 		c.MaxILPNodes = 1500
 	}
-	if c.ILPTimeout == 0 {
-		c.ILPTimeout = 400 * time.Millisecond
+	if c.ILPWorkBudget == 0 {
+		c.ILPWorkBudget = DefaultILPWorkBudget
 	}
 	if c.ILPRelGap == 0 {
 		c.ILPRelGap = 0.01
@@ -172,7 +183,8 @@ type SolveRecord struct {
 	Cuts       int
 	WarmStarts int
 	WarmHits   int
-	// TimedOut / NodeCapped mark truncated searches.
+	// TimedOut marks a search stopped on the work budget
+	// (Config.ILPWorkBudget); NodeCapped one stopped on MaxILPNodes.
 	TimedOut   bool
 	NodeCapped bool
 	// Time is the wall-clock solve duration.
@@ -199,7 +211,8 @@ type Stats struct {
 	Cuts       int
 	WarmStarts int
 	WarmHits   int
-	// Timeouts and NodeCapHits count truncated solves; ProvedOptimal the
+	// Timeouts counts the solves stopped on the work budget and
+	// NodeCapHits those stopped on the node cap; ProvedOptimal the
 	// solves that closed the gap completely. MaxGap is the worst final
 	// relative optimality gap over all solves that found a solution.
 	Timeouts      int
@@ -248,7 +261,7 @@ func (s *Stats) SolveTable() string {
 	for _, r := range s.Solves {
 		flags := ""
 		if r.TimedOut {
-			flags = "!t"
+			flags = "!b"
 		}
 		if r.NodeCapped {
 			flags += "!n"
@@ -265,7 +278,7 @@ func (s *Stats) SolveTable() string {
 	sb.WriteString(strings.Repeat("-", 98) + "\n")
 	fmt.Fprintf(&sb, "total: %d ILPs, %d B&B nodes, %d LP iterations, %d incumbents, %v solve time\n",
 		s.NumILPs, s.BBNodes, s.LPIters, s.Incumbents, s.SolveTime.Round(time.Millisecond))
-	fmt.Fprintf(&sb, "       %d proved optimal, %d timeouts, %d node-cap hits, worst gap %.2f%%\n",
+	fmt.Fprintf(&sb, "       %d proved optimal, %d budget stops, %d node-cap hits, worst gap %.2f%%\n",
 		s.ProvedOptimal, s.Timeouts, s.NodeCapHits, s.MaxGap*100)
 	warmPct := 0.0
 	if s.WarmStarts > 0 {

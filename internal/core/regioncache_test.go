@@ -3,18 +3,10 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/platform"
 	"repro/internal/solstore"
 )
-
-// determinismConfig keeps truncation deterministic: the node cap, never
-// the wall clock, bounds searches (a wall-clock timeout could truncate
-// differently between runs and break byte-identity).
-func determinismConfig() Config {
-	return Config{ILPTimeout: 120 * time.Second}
-}
 
 // canonicalize renders everything a run produces that the byte-identity
 // guarantee covers: the chosen solution tree and the solve records with
@@ -48,13 +40,13 @@ func TestRegionWorkersByteIdentical(t *testing.T) {
 		g := buildGraph(t, src)
 		main := platform.ScenarioAccelerator.MainClass(pf)
 
-		seqCfg := determinismConfig()
+		seqCfg := Config{}
 		seqRes, err := Parallelize(g, pf, main, Heterogeneous, seqCfg)
 		if err != nil {
 			t.Fatalf("sequential: %v", err)
 		}
 
-		parCfg := determinismConfig()
+		parCfg := Config{}
 		parCfg.RegionWorkers = 4
 		parCfg.Store = solstore.New(solstore.Options{})
 		parRes, err := Parallelize(g, pf, main, Heterogeneous, parCfg)
@@ -75,7 +67,7 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 	g := buildGraph(t, hotLoopSrc)
 	main := platform.ScenarioAccelerator.MainClass(pf)
 
-	cfg := determinismConfig()
+	cfg := Config{}
 	cfg.Store = solstore.New(solstore.Options{})
 	cold, err := Parallelize(g, pf, main, Heterogeneous, cfg)
 	if err != nil {
@@ -111,7 +103,7 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 func TestStoreCrossScenarioReuse(t *testing.T) {
 	pf := platform.ConfigA()
 	g := buildGraph(t, hotLoopSrc)
-	cfg := determinismConfig()
+	cfg := Config{}
 	cfg.Store = solstore.New(solstore.Options{})
 
 	if _, err := Parallelize(g, pf, platform.ScenarioAccelerator.MainClass(pf), Heterogeneous, cfg); err != nil {
@@ -143,11 +135,11 @@ func TestStoreStatsIndependentOfWarmth(t *testing.T) {
 	g := buildGraph(t, independentWorkSrc)
 	main := platform.ScenarioAccelerator.MainClass(pf)
 
-	noStore, err := Parallelize(g, pf, main, Heterogeneous, determinismConfig())
+	noStore, err := Parallelize(g, pf, main, Heterogeneous, Config{})
 	if err != nil {
 		t.Fatalf("no store: %v", err)
 	}
-	cfg := determinismConfig()
+	cfg := Config{}
 	cfg.Store = solstore.New(solstore.Options{})
 	if _, err := Parallelize(g, pf, main, Heterogeneous, cfg); err != nil {
 		t.Fatalf("cold: %v", err)

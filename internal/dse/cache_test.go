@@ -3,7 +3,6 @@ package dse
 import (
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -30,7 +29,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if CacheKey("abcd", other, 0, cfg) == base {
 		t.Errorf("platform does not affect key")
 	}
-	cfg2 := core.Config{MaxILPNodes: 150, ILPTimeout: 30 * time.Second}
+	cfg2 := core.Config{MaxILPNodes: 150, ILPWorkBudget: 1_000_000}
 	if CacheKey("abcd", pf, 0, cfg2) == base {
 		t.Errorf("config does not affect key")
 	}

@@ -36,16 +36,17 @@ func PrepareWorkload(p *experiments.Prepared) *Workload {
 // much smaller problem size (clustering, candidate and task-bound caps)
 // and branch-and-bound allowance than the single-program default — the
 // sweep solves hundreds of pipelines, each within a few percent of its
-// full-budget solution — with a timeout high enough that the
-// deterministic node cap, never the wall clock, truncates searches.
-// That keeps sweep outputs byte-identical across runs.
+// full-budget solution. Its work budget sits about 50x above the
+// heaviest sweep solve measured on the default space (2.1M pivot-rows),
+// so the node cap, never the work budget, truncates searches
+// (TestSweepConfigBudgetDoesNotBind).
 func SweepConfig() core.Config {
 	return core.Config{
 		MaxItemsPerILP:    8,
 		MaxCandsPerClass:  3,
 		MaxTasksPerRegion: 4,
 		MaxILPNodes:       60,
-		ILPTimeout:        120 * time.Second,
+		ILPWorkBudget:     100_000_000,
 		ILPRelGap:         0.05,
 	}
 }

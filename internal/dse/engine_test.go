@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -48,15 +47,12 @@ func testWorkload(t *testing.T, name, src string) *Workload {
 	})
 }
 
-// cheapConfig keeps per-point ILP solves in the low milliseconds; the
-// generous timeout means the deterministic node cap, never the wall
-// clock, truncates the search.
+// cheapConfig keeps per-point ILP solves in the low milliseconds.
 func cheapConfig() core.Config {
 	return core.Config{
 		MaxItemsPerILP:   6,
 		MaxCandsPerClass: 2,
 		MaxILPNodes:      20,
-		ILPTimeout:       30 * time.Second,
 		ILPRelGap:        0.1,
 	}
 }
@@ -326,4 +322,37 @@ func TestEngineGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("CSV drifted from golden file:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
+}
+
+// TestSweepConfigBudgetDoesNotBind: sweep outputs must be set by the
+// node cap alone, so SweepConfig's work budget may never stop a search.
+// On a sample of the default space every solve stays at least 10x below
+// it.
+func TestSweepConfigBudgetDoesNotBind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweep solves; skipped in -short mode")
+	}
+	cfg := SweepConfig()
+	heaviest := int64(0)
+	for _, name := range []string{"mult_10", "fir_256", "iir_4"} {
+		p, err := experiments.Prepare(bench.ByName(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range DefaultSpace().Generate(3, 1) {
+			res, err := core.Parallelize(p.Graph, pt.Platform, pt.Scenario.MainClass(pt.Platform), core.Heterogeneous, cfg)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, pt.ID, err)
+			}
+			for _, rec := range res.Stats.Solves {
+				w := int64(rec.LPIters) * int64(rec.Cons)
+				if rec.TimedOut || 10*w > cfg.ILPWorkBudget {
+					t.Errorf("%s on %s: %s solve of %s spent %d of the %d budget (stopped: %t)",
+						name, pt.ID, rec.Model, rec.Region, w, cfg.ILPWorkBudget, rec.TimedOut)
+				}
+				heaviest = max(heaviest, w)
+			}
+		}
+	}
+	t.Logf("heaviest solve: %d pivot-rows of %d", heaviest, cfg.ILPWorkBudget)
 }

@@ -356,7 +356,7 @@ func (t *Table) Averages() TableRow {
 // row per (benchmark, approach).
 func (t *Table) RenderSolverStats() string {
 	var sb strings.Builder
-	sb.WriteString("| benchmark | approach | ILPs | B&B nodes | LP iters | incumbents | timeouts | node caps | optimal | max gap | solve time |\n")
+	sb.WriteString("| benchmark | approach | ILPs | B&B nodes | LP iters | incumbents | budget stops | node caps | optimal | max gap | solve time |\n")
 	sb.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	emit := func(bench, approach string, st core.Stats) {
 		fmt.Fprintf(&sb, "| %s | %s | %d | %d | %d | %d | %d | %d | %d/%d | %.2f%% | %s |\n",

@@ -9,30 +9,20 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
-
-// goldenConfig bounds every ILP solve by deterministic node and
-// iteration budgets instead of wall time: truncation points are then
-// machine-independent, so the figure speedups are reproducible numbers
-// worth pinning. (The production default config trades this for a 400ms
-// per-solve timeout and is deliberately NOT pinned.)
-func goldenConfig() core.Config {
-	return core.Config{
-		MaxILPNodes: 60,
-		ILPTimeout:  10 * time.Minute,
-	}
-}
 
 const goldenPath = "testdata/golden_figures.txt"
 
 // TestFigureSpeedupsGolden locks the speedup of every UTDSP benchmark on
 // all four figures (config A/B × accelerator/slower-cores) against the
-// checked-in golden values. Any solver or pipeline change that alters a
-// parallelization plan shows up here as a diff, reviewed by regenerating
-// with REPRO_UPDATE_GOLDEN=1.
+// checked-in golden values. It runs the production default config — the
+// one cmd/paperrepro renders results.md with — whose solver budgets
+// count deterministic work, so the pinned figures are the published
+// ones. Any solver or pipeline change that alters a parallelization plan
+// shows up here as a diff, reviewed by regenerating with
+// REPRO_UPDATE_GOLDEN=1.
 func TestFigureSpeedupsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full four-figure sweep")
@@ -41,7 +31,7 @@ func TestFigureSpeedupsGolden(t *testing.T) {
 	got := map[string]row{}
 	var order []string
 	for _, id := range []string{"7a", "7b", "8a", "8b"} {
-		fig, err := RunFigure(id, nil, goldenConfig())
+		fig, err := RunFigure(id, nil, core.Config{})
 		if err != nil {
 			t.Fatalf("figure %s: %v", id, err)
 		}

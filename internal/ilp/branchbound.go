@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // Status is the outcome of a MILP solve.
@@ -64,9 +63,13 @@ type ProgressEvent struct {
 type Options struct {
 	// MaxNodes caps explored B&B nodes (0 = default 200000).
 	MaxNodes int
-	// Deadline aborts the search when exceeded (zero = none). On abort the
-	// best incumbent is returned with StatusFeasible.
-	Deadline time.Time
+	// WorkBudget caps the search's work, counted as simplex pivots ×
+	// model rows (<= 0 = unlimited). It is checked after the root
+	// relaxation, before every dive step and before every best-first
+	// round, so a truncated search stops at the same pivot on any machine
+	// and under any load. On exhaustion the best incumbent is returned
+	// with StatusFeasible and Result.BudgetExhausted set.
+	WorkBudget int64
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
 	// Incumbent optionally provides a known feasible point to prune with.
@@ -125,10 +128,10 @@ type Result struct {
 	// Incumbents counts integral improvements found during the search
 	// (seeded Options.Incumbent points are not counted).
 	Incumbents int
-	// TimedOut and NodeCapped report why a truncated search stopped:
-	// the Options.Deadline passed or the MaxNodes budget ran out.
-	TimedOut   bool
-	NodeCapped bool
+	// BudgetExhausted and NodeCapped report why a truncated search
+	// stopped: the Options.WorkBudget or the MaxNodes budget ran out.
+	BudgetExhausted bool
+	NodeCapped      bool
 }
 
 // bbNode is one open branch-and-bound subproblem. The bound slices and
@@ -228,6 +231,14 @@ type searcher struct {
 	prunedBound float64
 }
 
+// outOfBudget reports whether the work spent so far — every simplex
+// pivot of the solve, weighted by the model's row count — has reached
+// Options.WorkBudget.
+func (sc *searcher) outOfBudget(res *Result) bool {
+	return sc.opt.WorkBudget > 0 &&
+		int64(res.LPIters)*int64(sc.mod.NumCons()) >= sc.opt.WorkBudget
+}
+
 func (sc *searcher) newNode(lo, hi []float64, bound float64, depth int, basis []int32, stat []int8) *bbNode {
 	sc.seq++
 	return &bbNode{
@@ -253,7 +264,6 @@ type nodeLP struct {
 // lower bound crosses it.
 func (sc *searcher) solveNode(s *lpSolver, nd *bbNode, cutoff float64) nodeLP {
 	s.setBounds(nd.lo, nd.hi)
-	s.deadline = sc.opt.Deadline
 	s.iterCap = nodeIterCap
 	s.cutoff = cutoff
 	s.iters = 0
@@ -310,7 +320,6 @@ func solve(mod *Model, opt Options) Result {
 	}
 	sc := &searcher{mod: mod, p: compile(mod), opt: opt, prunedBound: math.Inf(1)}
 	root := newLPSolver(sc.p)
-	root.deadline = opt.Deadline
 	root.setBounds(rootLo, rootHi)
 	st := root.solveCold()
 	if st == lpFailed {
@@ -339,10 +348,10 @@ func solve(mod *Model, opt Options) Result {
 		}
 		return g
 	}
-	if !opt.Deadline.IsZero() && time.Now().After(opt.Deadline) { //repolint:allow timenow (solver deadline check)
-		// Out of time before the search even started: report the seeded
-		// incumbent (if any) against the root bound.
-		res.TimedOut = true
+	if sc.outOfBudget(&res) {
+		// Out of budget before the search even started: report the
+		// seeded incumbent (if any) against the root bound.
+		res.BudgetExhausted = true
 		if res.Status == StatusFeasible {
 			res.Gap = relGap(rootLP.Obj)
 		}
@@ -363,7 +372,6 @@ func solve(mod *Model, opt Options) Result {
 			sc.p = sc.p.appendCuts(cuts)
 			res.Cuts += len(cuts)
 			root = newLPSolver(sc.p)
-			root.deadline = opt.Deadline
 			root.setBounds(rootLo, rootHi)
 			st = root.solveCold()
 			if st != LPOptimal {
@@ -428,9 +436,9 @@ func solve(mod *Model, opt Options) Result {
 			res.NodeCapped = true
 			break
 		}
-		if !opt.Deadline.IsZero() && time.Now().After(opt.Deadline) { //repolint:allow timenow (solver deadline check)
+		if sc.outOfBudget(&res) {
 			truncated = true
-			res.TimedOut = true
+			res.BudgetExhausted = true
 			break
 		}
 		// Fill the round: up to Workers nodes in frontier order, bounded
@@ -590,7 +598,7 @@ func (sc *searcher) dive(rootLo, rootHi []float64, rootLP LPResult,
 	stack := []dfsNode{{nd: rootNode, lp: &rootOut}}
 	s := sc.solvers[0]
 	for len(stack) > 0 && budget > 0 {
-		if !opt.Deadline.IsZero() && time.Now().After(opt.Deadline) { //repolint:allow timenow (solver deadline check)
+		if sc.outOfBudget(res) {
 			return
 		}
 		node := stack[len(stack)-1]

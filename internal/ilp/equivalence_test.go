@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 // ---- seeded model generation ----------------------------------------
@@ -123,7 +122,7 @@ func TestLPEquivalenceBranchBounds(t *testing.T) {
 				lo[frac] = math.Ceil(v)
 			}
 			ref := densSolveLP(m, lo, hi)
-			got := solveLP(m, lo, hi, time.Time{})
+			got := solveLP(m, lo, hi)
 			if ref.Status != got.Status {
 				t.Fatalf("seed %d dir %d: status dense=%v revised=%v", seed, dir, ref.Status, got.Status)
 			}

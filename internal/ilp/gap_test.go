@@ -1,8 +1,8 @@
 package ilp
 
 import (
+	"math"
 	"testing"
-	"time"
 )
 
 // The final-gap contract: Result.Gap is recomputed on every exit path —
@@ -54,26 +54,31 @@ func TestGapOnRelGapExit(t *testing.T) {
 	}
 }
 
-// TestGapOnDeadline: an expired deadline with a seeded incumbent must
-// return the incumbent as feasible, flag the timeout, and still report a
-// gap against the root bound rather than a stale zero.
-func TestGapOnDeadline(t *testing.T) {
+// TestGapOnBudget: a work budget exhausted by the root relaxation, with
+// a seeded incumbent, must return the incumbent as feasible, flag the
+// budget stop, and report the gap against the root bound rather than a
+// stale zero.
+func TestGapOnBudget(t *testing.T) {
 	m := BenchKnapsackModel(40, 11)
 	opt := Solve(m, Options{})
 	if opt.Status != StatusOptimal {
 		t.Fatalf("reference solve: %v", opt.Status)
 	}
-	res := Solve(m, Options{
-		Deadline:  time.Now().Add(-time.Second), //repolint:allow timenow (constructing an already-expired deadline)
-		Incumbent: opt.X,
-	})
+	res := Solve(m, Options{WorkBudget: 1, Incumbent: opt.X})
 	if res.Status != StatusFeasible {
 		t.Fatalf("status %v, want feasible from seeded incumbent", res.Status)
 	}
-	if !res.TimedOut {
-		t.Error("TimedOut not set on expired deadline")
+	if !res.BudgetExhausted {
+		t.Error("BudgetExhausted not set on an exhausted budget")
 	}
-	if res.Gap < 0 {
-		t.Errorf("deadline exit gap %g, want >= 0", res.Gap)
+	if res.Nodes != 0 || res.LPIters != res.LPItersRoot {
+		t.Errorf("search continued past the root: %d nodes, %d of %d LP iterations at the root",
+			res.Nodes, res.LPItersRoot, res.LPIters)
+	}
+	root := SolveRelaxation(m)
+	want := (res.Obj - root.Obj) / math.Abs(res.Obj)
+	if math.Abs(res.Gap-want) > 1e-12 || res.Gap < 0 {
+		t.Errorf("budget exit gap %g, want %g (seeded incumbent %g against root bound %g)",
+			res.Gap, want, res.Obj, root.Obj)
 	}
 }

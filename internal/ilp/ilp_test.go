@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSimpleLP(t *testing.T) {
@@ -15,7 +14,7 @@ func TestSimpleLP(t *testing.T) {
 	x := m.AddVar("x", 0, 3, -1)
 	y := m.AddVar("y", 0, 2, -2)
 	m.AddCons("cap", []Term{{x, 1}, {y, 1}}, LE, 4)
-	res := solveLP(m, nil, nil, time.Time{})
+	res := solveLP(m, nil, nil)
 	if res.Status != LPOptimal {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -33,7 +32,7 @@ func TestLPEquality(t *testing.T) {
 	y := m.AddVar("y", 0, math.Inf(1), 1)
 	m.AddCons("eq", []Term{{x, 1}, {y, 2}}, EQ, 4)
 	m.AddCons("ge", []Term{{x, 1}, {y, -1}}, GE, -1)
-	res := solveLP(m, nil, nil, time.Time{})
+	res := solveLP(m, nil, nil)
 	if res.Status != LPOptimal {
 		t.Fatalf("status %v", res.Status)
 	}
@@ -46,7 +45,7 @@ func TestLPInfeasible(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar("x", 0, 1, 1)
 	m.AddCons("c1", []Term{{x, 1}}, GE, 2)
-	res := solveLP(m, nil, nil, time.Time{})
+	res := solveLP(m, nil, nil)
 	if res.Status != LPInfeasible {
 		t.Fatalf("status %v, want infeasible", res.Status)
 	}
@@ -57,7 +56,7 @@ func TestLPUnbounded(t *testing.T) {
 	x := m.AddVar("x", 0, math.Inf(1), -1)
 	y := m.AddVar("y", 0, math.Inf(1), 0)
 	m.AddCons("c1", []Term{{x, 1}, {y, -1}}, LE, 1)
-	res := solveLP(m, nil, nil, time.Time{})
+	res := solveLP(m, nil, nil)
 	if res.Status != LPUnbounded {
 		t.Fatalf("status %v, want unbounded", res.Status)
 	}
@@ -68,7 +67,7 @@ func TestLPNegativeLowerBounds(t *testing.T) {
 	m := NewModel()
 	x := m.AddVar("x", -5, 10, 1)
 	m.AddCons("c", []Term{{x, 1}}, GE, -3)
-	res := solveLP(m, nil, nil, time.Time{})
+	res := solveLP(m, nil, nil)
 	if res.Status != LPOptimal || math.Abs(res.X[0]-(-3)) > 1e-6 {
 		t.Fatalf("got %v x=%v, want x=-3", res.Status, res.X)
 	}
@@ -234,7 +233,7 @@ func TestRandomLPFeasibilityAndBounds(t *testing.T) {
 			}
 			m.AddCons("c", terms, []Sense{LE, GE}[rng.Intn(2)], float64(rng.Intn(21)-5))
 		}
-		res := solveLP(m, nil, nil, time.Time{})
+		res := solveLP(m, nil, nil)
 		if res.Status == LPIterLimit {
 			t.Fatalf("trial %d: iteration limit on a tiny LP", trial)
 		}
@@ -290,7 +289,7 @@ func TestIncumbentPruning(t *testing.T) {
 	}
 }
 
-func TestDeadlineReturnsIncumbent(t *testing.T) {
+func TestBudgetReturnsIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewModel()
 	// A chunky random knapsack-ish model.
@@ -300,9 +299,9 @@ func TestDeadlineReturnsIncumbent(t *testing.T) {
 		terms = append(terms, Term{id, float64(1 + rng.Intn(50))})
 	}
 	m.AddCons("cap", terms, LE, 300)
-	res := Solve(m, Options{Deadline: time.Now().Add(-time.Second), Incumbent: make([]float64, 40)})
+	res := Solve(m, Options{WorkBudget: 1, Incumbent: make([]float64, 40)})
 	if res.Status != StatusFeasible {
-		t.Fatalf("status %v, want feasible (deadline already passed)", res.Status)
+		t.Fatalf("status %v, want feasible (budget spent by the root relaxation)", res.Status)
 	}
 }
 
@@ -353,7 +352,7 @@ func TestDegenerateCyclingGuard(t *testing.T) {
 	m.AddCons("r1", []Term{{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, LE, 0)
 	m.AddCons("r2", []Term{{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, LE, 0)
 	m.AddCons("r3", []Term{{x3, 1}}, LE, 1)
-	res := solveLP(m, nil, nil, time.Time{})
+	res := solveLP(m, nil, nil)
 	if res.Status != LPOptimal {
 		t.Fatalf("status %v", res.Status)
 	}

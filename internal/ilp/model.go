@@ -8,8 +8,11 @@
 // and reads back the optimal node-to-task and task-to-class assignment.
 //
 // The solver guarantees optimality when it terminates within its node
-// budget (Status == StatusOptimal); with a budget or deadline it degrades
-// to the best incumbent found (StatusFeasible).
+// and work budgets (Status == StatusOptimal); when either runs out it
+// degrades to the best incumbent found (StatusFeasible). Both budgets
+// count deterministic solver work — B&B nodes, and simplex pivots
+// weighted by model rows — never wall time, so equal inputs give equal
+// results on any machine.
 package ilp
 
 import (

@@ -20,7 +20,7 @@ func TestChunkLPSmoke(t *testing.T) {
 	t.Logf("root LP: obj=%.0f iters=%d in %v (vars=%d cons=%d)",
 		lp.Obj, lp.Iters, time.Since(start), m.NumVars(), m.NumCons())
 	start = time.Now()
-	res := Solve(m, Options{MaxNodes: 3000, Deadline: time.Now().Add(5 * time.Second), RelGap: 0.05})
+	res := Solve(m, Options{MaxNodes: 3000, WorkBudget: 500_000, RelGap: 0.05})
 	t.Logf("MILP: status=%v obj=%.0f nodes=%d lpIters=%d warm=%d/%d cuts=%d in %v",
 		res.Status, res.Obj, res.Nodes, res.LPIters, res.WarmHits, res.WarmStarts,
 		res.Cuts, time.Since(start))

@@ -3,7 +3,6 @@ package ilp
 import (
 	"math"
 	"slices"
-	"time"
 )
 
 // Nonbasic/basic variable status in the revised simplex.
@@ -52,10 +51,9 @@ type lpSolver struct {
 	allCols    []int32
 	inTouched  []bool
 
-	iters    int
-	bland    bool
-	fValid   bool // f factorizes the current s.basis
-	deadline time.Time
+	iters  int
+	bland  bool
+	fValid bool // f factorizes the current s.basis
 	// iterCap, when positive, bounds one simplex run below maxIters —
 	// branch-and-bound node solves are disposable (an IterLimit node is
 	// pruned), so they get a modest deterministic budget instead of
@@ -310,10 +308,6 @@ func (s *lpSolver) cleanup() LPStatus {
 	return LPOptimal
 }
 
-func (s *lpSolver) expired(local int) bool {
-	return local%128 == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) //repolint:allow timenow (solver deadline check)
-}
-
 // solveCold solves the LP from the all-slack basis. Structural variables
 // start at the bound their (possibly phase-1-clamped) cost prefers.
 func (s *lpSolver) solveCold() LPStatus {
@@ -470,9 +464,6 @@ iter:
 	for local := 1; ; local++ {
 		s.iters++
 		if local > limit {
-			return LPIterLimit
-		}
-		if s.expired(local) {
 			return LPIterLimit
 		}
 		// Objective cutoff: while dual feasible, the objective is a lower
@@ -664,9 +655,6 @@ func (s *lpSolver) primal() LPStatus {
 	for local := 1; ; local++ {
 		s.iters++
 		if local > limit {
-			return LPIterLimit
-		}
-		if s.expired(local) {
 			return LPIterLimit
 		}
 		if local > blandAfter {

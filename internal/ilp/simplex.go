@@ -1,9 +1,6 @@
 package ilp
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // LPStatus is the outcome of an LP relaxation solve.
 type LPStatus int
@@ -58,7 +55,7 @@ const (
 
 // SolveRelaxation solves the LP relaxation of mod with its own bounds
 // (exported for diagnostics and tests).
-func SolveRelaxation(mod *Model) LPResult { return solveLP(mod, nil, nil, time.Time{}) }
+func SolveRelaxation(mod *Model) LPResult { return solveLP(mod, nil, nil) }
 
 // mergeBounds combines the model bounds with per-node overrides
 // (overrides only ever tighten). Returns false when a variable's range
@@ -83,17 +80,16 @@ func mergeBounds(mod *Model, loOv, hiOv []float64) (lo, hi []float64, ok bool) {
 }
 
 // solveLP solves the LP relaxation of mod with the given bound overrides
-// (nil to use model bounds) under an optional wall-clock deadline. It
-// compiles the model and solves cold; the branch-and-bound hot path keeps
-// a compiled problem and warm-starts instead of calling this.
-func solveLP(mod *Model, loOv, hiOv []float64, deadline time.Time) LPResult {
+// (nil to use model bounds). It compiles the model and solves cold; the
+// branch-and-bound hot path keeps a compiled problem and warm-starts
+// instead of calling this.
+func solveLP(mod *Model, loOv, hiOv []float64) LPResult {
 	lo, hi, ok := mergeBounds(mod, loOv, hiOv)
 	if !ok {
 		return LPResult{Status: LPInfeasible}
 	}
 	s := newLPSolver(compile(mod))
 	s.setBounds(lo, hi)
-	s.deadline = deadline
 	st := s.solveCold()
 	if st == lpFailed {
 		st = LPIterLimit

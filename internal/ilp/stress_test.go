@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // TestPlantedFeasibleLP generates random LPs around a planted feasible
@@ -53,7 +52,7 @@ func TestPlantedFeasibleLP(t *testing.T) {
 				m.AddCons("eq", terms, EQ, lhs)
 			}
 		}
-		res := solveLP(m, nil, nil, time.Time{})
+		res := solveLP(m, nil, nil)
 		if res.Status == LPInfeasible {
 			t.Fatalf("trial %d: planted-feasible LP reported infeasible\n%s\nx0=%v", trial, m.WriteLP(), x0)
 		}

@@ -1,9 +1,6 @@
 package ilp
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // knapsackModel builds a small maximization-as-minimization knapsack
 // with enough structure to need real branching.
@@ -67,16 +64,16 @@ func TestNodeCapReported(t *testing.T) {
 	if !res.NodeCapped {
 		t.Errorf("NodeCapped not set on truncated search (status %v, nodes %d)", res.Status, res.Nodes)
 	}
-	if res.TimedOut {
-		t.Errorf("TimedOut set without a deadline")
+	if res.BudgetExhausted {
+		t.Errorf("BudgetExhausted set without a work budget")
 	}
 }
 
-func TestTimeoutReported(t *testing.T) {
+func TestBudgetStopReported(t *testing.T) {
 	m := knapsackModel()
-	res := Solve(m, Options{Deadline: time.Now().Add(-time.Second)})
-	if res.TimedOut != true {
-		t.Errorf("TimedOut not set when the deadline already passed (status %v)", res.Status)
+	res := Solve(m, Options{WorkBudget: 1})
+	if res.BudgetExhausted != true {
+		t.Errorf("BudgetExhausted not set when the root relaxation spent the budget (status %v)", res.Status)
 	}
 	if res.NodeCapped {
 		t.Errorf("NodeCapped set spuriously")
@@ -89,7 +86,7 @@ func TestOptimalSolveHasNoTruncationFlags(t *testing.T) {
 	if res.Status != StatusOptimal {
 		t.Fatalf("status = %v, want optimal", res.Status)
 	}
-	if res.TimedOut || res.NodeCapped {
+	if res.BudgetExhausted || res.NodeCapped {
 		t.Errorf("truncation flags set on a proven-optimal solve")
 	}
 	if res.Incumbents == 0 {

@@ -149,7 +149,7 @@ func resolvePlatform(raw json.RawMessage) (*platform.Platform, error) {
 // resolved main class and the approach. Scenario enters through the
 // resolved main class — two scenarios that pick the same class on a
 // platform correctly share one entry — and output-neutral knobs
-// (region workers, timeouts) are excluded, so every cache or coalesce
+// (region workers, the request's wait timeout) are excluded, so every cache or coalesce
 // hit is guaranteed byte-identical to a fresh solve.
 func jobKey(spec *jobSpec) string {
 	mainClass := spec.scenario.MainClass(spec.platform)

@@ -61,7 +61,7 @@ func ResultOf(rep *heteropar.Report, program, scenario, approach string) *Result
 		Scenario:           scenario,
 		Approach:           approach,
 		MainClass:          rep.MainClass,
-		MainClassName:      rep.Result.Platform.Classes[rep.MainClass].Name,
+		MainClassName:      rep.Platform().Classes[rep.MainClass].Name,
 		Tasks:              rep.NumTasks(),
 		NumILPs:            rep.Result.Stats.NumILPs,
 		NumVars:            rep.Result.Stats.NumVars,

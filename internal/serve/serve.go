@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,6 +132,7 @@ type Server struct {
 	inflight     *obs.Gauge        // serve.inflight
 	coalesceHits *obs.Counter      // serve.coalesce.hits
 	cacheHits    *obs.Counter      // serve.cache.hits
+	panics       *obs.Counter      // serve.panics
 
 	// solve runs one job; swapped by tests for controllable latency.
 	solve func(spec *jobSpec) outcome
@@ -194,6 +196,7 @@ func New(cfg Config) (*Server, error) {
 		inflight:     cfg.Metrics.Gauge("serve.inflight"),
 		coalesceHits: cfg.Metrics.Counter("serve.coalesce.hits"),
 		cacheHits:    cfg.Metrics.Counter("serve.cache.hits"),
+		panics:       cfg.Metrics.Counter("serve.panics"),
 	}
 	s.solve = s.realSolve
 
@@ -413,14 +416,17 @@ func (s *Server) worker() {
 		j.setRunning()
 		s.inflight.Add(1)
 		t0 := now()
-		out := s.solve(j.spec)
+		out, panicked := s.solveJob(j.spec)
 		d := since(t0)
 		s.inflight.Add(-1)
 		s.solveLatency.Observe(d)
 		// Publish to the store before closing the registry entry, so a
 		// request arriving between the two always finds one or the
-		// other — never a gap.
-		s.store.Put(storeKeyPrefix+j.spec.key, out)
+		// other — never a gap. A panic is not a deterministic outcome
+		// of the inputs worth replaying, so it is never cached.
+		if !panicked {
+			s.store.Put(storeKeyPrefix+j.spec.key, out)
+		}
 		j.finish(out)
 		s.jobsMu.Lock()
 		delete(s.jobs, j.spec.key)
@@ -431,6 +437,26 @@ func (s *Server) worker() {
 			"solve_ms": float64(d.Nanoseconds()) / 1e6,
 		})
 	}
+}
+
+// solveJob runs one job, turning a panic anywhere in the pipeline into
+// a 500 outcome (counted in serve.panics, with a serve-job-panic event
+// carrying the stack), so one bad request cannot take down the daemon
+// and every job in flight.
+func (s *Server) solveJob(spec *jobSpec) (out outcome, panicked bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Inc()
+			s.events.Emit("serve-job-panic", spec.key, map[string]any{
+				"program": spec.name,
+				"panic":   fmt.Sprint(p),
+				"stack":   string(debug.Stack()),
+			})
+			out = outcome{errMsg: fmt.Sprintf("internal error: the pipeline panicked: %v", p), code: http.StatusInternalServerError}
+			panicked = true
+		}
+	}()
+	return s.solve(spec), false
 }
 
 // realSolve runs the full pipeline through the facade, sharing the

@@ -510,3 +510,82 @@ func TestJobKeyContentAddressing(t *testing.T) {
 		t.Error("different approaches share a key")
 	}
 }
+
+// TestWorkerPanicServesUncached500 injects a panic into the pool's
+// solve: the request gets a 500, the panic is counted and logged, the
+// outcome is not cached, and the same one-worker daemon keeps serving —
+// including a retry of the very request that panicked.
+func TestWorkerPanicServesUncached500(t *testing.T) {
+	reg := obs.NewRegistry()
+	events := obs.NewEventLog(nil)
+	s, ts := newTestServer(t, Config{Workers: 1, Metrics: reg, Events: events})
+	var calls atomic.Int64
+	s.solve = func(spec *jobSpec) outcome {
+		if calls.Add(1) == 1 {
+			var plan []int
+			_ = plan[spec.name[0]] // index out of range
+		}
+		return outcome{res: &Result{Program: spec.name}, code: http.StatusOK}
+	}
+
+	status, body := post(t, ts.URL, Request{Bench: "fir_256"})
+	if status != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
+		t.Fatalf("panicking solve: status %d body %s; want 500 naming the panic", status, body)
+	}
+	if got := reg.Counter("serve.panics").Value(); got != 1 {
+		t.Errorf("serve.panics = %d, want 1", got)
+	}
+	logged := false
+	for _, ev := range events.Recent(0) {
+		logged = logged || ev.Kind == "serve-job-panic"
+	}
+	if !logged {
+		t.Errorf("no serve-job-panic event")
+	}
+	spec, err := specOf(&Request{Bench: "fir_256"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.cachedOutcome(spec.key); ok {
+		t.Errorf("the panic outcome was cached")
+	}
+	for _, bench := range []string{"mult_10", "fir_256"} {
+		if status, body := post(t, ts.URL, Request{Bench: bench}); status != http.StatusOK {
+			t.Fatalf("%s after the panic: status %d body %s; want 200", bench, status, body)
+		}
+	}
+	if got := calls.Load(); got != 3 {
+		t.Errorf("solve ran %d times, want 3 (the panicked request re-solved)", got)
+	}
+}
+
+// TestHomogeneousResultsEncode covers every homogeneous target: the
+// baseline plans on a one-class uniform platform, but the result names
+// the main class of the real platform.
+func TestHomogeneousResultsEncode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline solves in -short mode")
+	}
+	src := benchSource(t, "fir_256")
+	for _, pf := range []*heteropar.Platform{heteropar.PlatformA(), heteropar.PlatformB()} {
+		for _, sc := range []struct {
+			name string
+			s    heteropar.Scenario
+		}{{"acc", heteropar.Accelerator}, {"slow", heteropar.SlowerCores}} {
+			rep, err := heteropar.Parallelize(src, heteropar.Options{Platform: pf, Scenario: sc.s, Approach: heteropar.Homogeneous})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", pf.Name, sc.name, err)
+			}
+			res := ResultOf(rep, "fir_256", sc.name, "hom")
+			main := sc.s.MainClass(pf)
+			if res.MainClass != main || res.MainClassName != pf.Classes[main].Name {
+				t.Errorf("%s/%s: main class %d %q, want %d %q", pf.Name, sc.name,
+					res.MainClass, res.MainClassName, main, pf.Classes[main].Name)
+			}
+			var back Result
+			if err := json.Unmarshal(res.Encode(), &back); err != nil || back != *res {
+				t.Errorf("%s/%s: document does not round-trip: %v", pf.Name, sc.name, err)
+			}
+		}
+	}
+}

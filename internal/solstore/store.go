@@ -84,6 +84,9 @@ type entry struct {
 type call struct {
 	done chan struct{}
 	val  any
+	// panicked marks a computation whose fn panicked: it stored nothing,
+	// and its waiters panic too instead of reading a value.
+	panicked bool
 }
 
 // shard is one LRU with its own lock and in-flight table.
@@ -215,7 +218,9 @@ func (s *Store) Put(key string, val any) {
 // stored and shared. fn runs without any store lock held, so it may
 // itself use the store (under a different key). The second return
 // reports whether the value came from cache or an in-flight
-// computation rather than this caller's own fn.
+// computation rather than this caller's own fn. A panic in fn stores
+// nothing and propagates to the caller and to every waiter, so the
+// next caller recomputes instead of blocking on a dead computation.
 func (s *Store) GetOrCompute(key string, fn func() any) (any, bool) {
 	if s == nil {
 		return fn(), false
@@ -242,6 +247,9 @@ func (s *Store) GetOrCompute(key string, fn func() any) (any, bool) {
 				"wait_ms": float64(time.Since(start).Nanoseconds()) / 1e6, //repolint:allow timenow
 			})
 		}
+		if c.panicked {
+			panic("solstore: the computation of " + key + " panicked")
+		}
 		return c.val, true
 	}
 	c := &call{done: make(chan struct{})}
@@ -249,7 +257,19 @@ func (s *Store) GetOrCompute(key string, fn func() any) (any, bool) {
 	sh.mu.Unlock()
 	s.misses.Inc()
 
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		sh.mu.Lock()
+		delete(sh.inflight, key)
+		sh.mu.Unlock()
+		c.panicked = true
+		close(c.done)
+	}()
 	c.val = fn()
+	finished = true
 	sh.mu.Lock()
 	sh.put(key, c.val)
 	delete(sh.inflight, key)

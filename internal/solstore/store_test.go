@@ -323,3 +323,49 @@ func TestShardGaugeNames(t *testing.T) {
 		t.Fatalf("gauge name = %q", shardGaugeName(0))
 	}
 }
+
+// TestGetOrComputePanicReleasesKey: a computation that panics stores
+// nothing, propagates to its caller and to a caller waiting on it, and
+// leaves the key free for the next caller to recompute.
+func TestGetOrComputePanicReleasesKey(t *testing.T) {
+	s := New(Options{Capacity: 8, Shards: 1})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	panics := func(fn func()) (p any) {
+		defer func() { p = recover() }()
+		fn()
+		return nil
+	}
+	leader := make(chan any)
+	go func() {
+		leader <- panics(func() {
+			s.GetOrCompute("k", func() any {
+				close(entered)
+				<-release
+				panic("boom")
+			})
+		})
+	}()
+	<-entered
+	waiter := make(chan any)
+	go func() {
+		waiter <- panics(func() { s.GetOrCompute("k", func() any { return "never" }) })
+	}()
+	for s.Stats().Dedups == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if p := <-leader; p != "boom" {
+		t.Errorf("leader recovered %v, want its own panic", p)
+	}
+	if p := <-waiter; p == nil {
+		t.Errorf("waiter on the panicked computation returned normally")
+	}
+	if _, ok := s.Get("k"); ok {
+		t.Fatalf("panicked computation stored a value")
+	}
+	v, cached := s.GetOrCompute("k", func() any { return 7 })
+	if v != 7 || cached {
+		t.Errorf("recompute after panic = %v (cached %t), want 7 computed afresh", v, cached)
+	}
+}

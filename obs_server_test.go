@@ -74,14 +74,12 @@ func smokeSpace() dse.SpaceSpec {
 }
 
 // smokeConfig caps the per-point ILP work so the sweep stays in the
-// seconds even on one core; the deterministic node cap truncates the
-// search, never the wall clock.
+// seconds even on one core.
 func smokeConfig() core.Config {
 	return core.Config{
 		MaxItemsPerILP:   6,
 		MaxCandsPerClass: 2,
 		MaxILPNodes:      20,
-		ILPTimeout:       30 * time.Second,
 		ILPRelGap:        0.1,
 	}
 }
