@@ -6,24 +6,125 @@ import (
 )
 
 // luFactor maintains an invertible representation of the simplex basis
-// matrix B: a dense LU factorization with partial pivoting, plus a
+// matrix B: an LU factorization with partial pivoting, plus a
 // product-form eta file for the pivots applied since the last
 // refactorization. FTRAN solves Bx = v, BTRAN solves Bᵀy = v.
 //
-// The basis dimension is the row count m, which for the parallelizer's
-// region models is a few hundred at most, so a dense O(m³/3) refactor
-// every refactorEvery pivots and O(m²) triangular solves are cheap — the
-// former dense tableau was O(m·n) per pivot over the full column space.
+// The factors are stored sparsely. Region-model bases are mostly slack
+// and unit columns, so L and U keep only a few percent of the m² entries
+// a dense factor would hold. The elimination nevertheless follows dense
+// Doolittle exactly: the same pivot in every column (largest magnitude,
+// earliest position on ties) and the same floating-point operation on
+// every stored entry. Only the multiplications by zero entries are
+// skipped, so every solve result matches the dense factorization bit
+// for bit up to the sign of zeros (luref_test.go keeps the dense
+// reference and checks this).
 type luFactor struct {
-	m    int
-	lu   []float64 // m×m row-major, L (unit diag) and U in place
-	lut  []float64 // transpose of lu: row k holds column k of L and U
-	piv  []int     // row swaps applied during factorization
-	etas []etaVec
+	m int
+	// Elimination workspace. a holds the basis, then L and U in place,
+	// m×m by original row (the rows never move; id/pos give the pivot
+	// order). Only entries with set true are stored; rowPat/colPat list
+	// them per row and per column, so the elimination and the reset at
+	// the next factorization touch stored entries only.
+	a      []float64
+	set    []bool
+	rowPat [][]int32 // row -> stored columns
+	colPat [][]int32 // column -> rows storing it
+	id     []int32   // position -> row
+	pos    []int32   // row -> position
+	kcols  []int32   // scratch: the pivot row's stored columns right of k
+	next   []int32   // scratch: fill cursors of a transpose
+	piv    []int     // position swaps applied during factorization
+	swaps  []int32   // the positions k with piv[k] != k, ascending
+	// The nonzeros of the finished factors, indexed by position: L and
+	// U by column for FTRAN's scatter, U and L by row for BTRAN's. diag
+	// is U's diagonal.
+	lCol, uCol, uRow, lRow sparseTri
+	diag                   []float64
+	etas                   []etaVec
 	// etaIdx/etaVal back every eta's idx/val slices; truncated (not
 	// freed) at refactorization so steady-state updates allocate nothing.
 	etaIdx []int32
 	etaVal []float64
+}
+
+// sparseTri is one compressed triangular factor: line k (a row or a
+// column, by view) holds idx/val[ptr[k]:ptr[k+1]]. lines lists, in the
+// order the solve visits them, the lines that do any arithmetic: the
+// nonempty ones, plus for U every position whose diagonal is not 1.
+// A skipped line would only subtract nothing or divide by one.
+type sparseTri struct {
+	ptr   []int32
+	idx   []int32
+	val   []float64
+	lines []int32
+}
+
+// reset empties t for m lines, keeping its storage.
+func (t *sparseTri) reset(m int) {
+	if cap(t.ptr) < m+1 {
+		t.ptr = make([]int32, m+1)
+	}
+	t.ptr = t.ptr[:m+1]
+	for k := range t.ptr {
+		t.ptr[k] = 0
+	}
+	t.idx = t.idx[:0]
+	t.val = t.val[:0]
+}
+
+// add appends entry (i, v) to the line being built.
+func (t *sparseTri) add(i int32, v float64) {
+	t.idx = append(t.idx, i)
+	t.val = append(t.val, v)
+}
+
+// end closes line k.
+func (t *sparseTri) end(k int) { t.ptr[k+1] = int32(len(t.idx)) }
+
+// transpose sets t to the transpose of the m-line s; within each line
+// of t the entries come in ascending index order. next is scratch of
+// length m.
+func (t *sparseTri) transpose(s *sparseTri, m int, next []int32) {
+	t.reset(m)
+	for _, c := range s.idx {
+		t.ptr[c+1]++
+	}
+	for k := 0; k < m; k++ {
+		t.ptr[k+1] += t.ptr[k]
+	}
+	n := int(t.ptr[m])
+	if cap(t.idx) < n {
+		t.idx = make([]int32, n)
+		t.val = make([]float64, n)
+	}
+	t.idx, t.val = t.idx[:n], t.val[:n]
+	copy(next, t.ptr[:m])
+	for k := 0; k < m; k++ {
+		for e := s.ptr[k]; e < s.ptr[k+1]; e++ {
+			c := s.idx[e]
+			at := next[c]
+			next[c]++
+			t.idx[at] = int32(k)
+			t.val[at] = s.val[e]
+		}
+	}
+}
+
+// setLines records the working lines of t in ascending or descending
+// order; diag, when non-nil, keeps the positions with a non-unit
+// diagonal (the U views).
+func (t *sparseTri) setLines(m int, desc bool, diag []float64) {
+	t.lines = t.lines[:0]
+	for n := 0; n < m; n++ {
+		k := n
+		if desc {
+			k = m - 1 - n
+		}
+		if t.ptr[k+1] > t.ptr[k] || (diag != nil && diag[k] != 1) {
+			t.lines = append(t.lines, int32(k))
+		}
+	}
 }
 
 // etaVec is one product-form update: after pivoting column w into basis
@@ -36,10 +137,10 @@ type etaVec struct {
 }
 
 // refactorEvery bounds the eta file length before a fresh factorization.
-// With the scatter-form triangular solves the O(m³/3) refactorization is
-// the dominant cost, so the eta file is allowed to grow long: applying an
-// eta is O(nnz) and the numerical-hygiene refresh in dual/primal catches
-// drift well before it bites.
+// A refactorization and each triangular solve cost time in proportion
+// to the factors' nonzeros, and applying an eta costs O(nnz) of that
+// eta, so the eta file is allowed to grow long: the numerical-hygiene
+// refresh in dual/primal catches drift well before it bites.
 const refactorEvery = 96
 
 var errSingular = errors.New("singular basis")
@@ -48,37 +149,43 @@ var errSingular = errors.New("singular basis")
 // (one column index per row) gathered from p. Existing etas are dropped.
 func (f *luFactor) factorize(p *prob, basis []int) error {
 	m := p.m
-	f.m = m
-	if cap(f.lu) < m*m {
-		f.lu = make([]float64, m*m)
-	}
-	f.lu = f.lu[:m*m]
-	for i := range f.lu {
-		f.lu[i] = 0
-	}
-	if cap(f.piv) < m {
-		f.piv = make([]int, m)
-	}
-	f.piv = f.piv[:m]
+	f.clear(m)
 	f.etas = f.etas[:0]
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
-	// Gather basis columns: lu[i*m+k] = A[i][basis[k]].
+	// Gather basis columns: a[i*m+k] = A[i][basis[k]].
 	for k, j := range basis {
 		if r, ok := p.slackCol(j); ok {
-			f.lu[r*m+k] = 1
+			f.store(r, k, 1)
 			continue
 		}
 		for at := p.colPtr[j]; at < p.colPtr[j+1]; at++ {
-			f.lu[int(p.rowIdx[at])*m+k] = p.colVal[at]
+			f.store(int(p.rowIdx[at]), k, p.colVal[at])
 		}
 	}
-	// Doolittle with partial pivoting.
+	// Doolittle with partial pivoting over the stored entries.
 	for k := 0; k < m; k++ {
-		pr, pv := k, math.Abs(f.lu[k*m+k])
-		for i := k + 1; i < m; i++ {
-			if a := math.Abs(f.lu[i*m+k]); a > pv {
-				pr, pv = i, a
+		// Keep only the rows still at positions ≥ k in column k's
+		// pattern; the earlier ones hold U entries, which the solves read
+		// from the row patterns.
+		act := f.colPat[k][:0]
+		for _, r := range f.colPat[k] {
+			if int(f.pos[r]) >= k {
+				act = append(act, r)
+			}
+		}
+		f.colPat[k] = act
+		// Largest |a| at positions ≥ k; the strict > keeps the diagonal,
+		// and among equal candidates the earliest position, as a dense
+		// top-down scan would.
+		pr, pv := k, math.Abs(f.a[int(f.id[k])*m+k])
+		for _, r := range act {
+			ps := int(f.pos[r])
+			if ps == k {
+				continue
+			}
+			if v := math.Abs(f.a[int(r)*m+k]); v > pv || (v == pv && ps < pr) {
+				pr, pv = ps, v
 			}
 		}
 		if pv < 1e-11 {
@@ -86,123 +193,195 @@ func (f *luFactor) factorize(p *prob, basis []int) error {
 		}
 		f.piv[k] = pr
 		if pr != k {
-			rk, rp := f.lu[k*m:k*m+m], f.lu[pr*m:pr*m+m]
-			for j := 0; j < m; j++ {
-				rk[j], rp[j] = rp[j], rk[j]
+			rk, rp := f.id[k], f.id[pr]
+			f.id[k], f.id[pr] = rp, rk
+			f.pos[rp], f.pos[rk] = int32(k), int32(pr)
+		}
+		rk := int(f.id[k])
+		krow := f.a[rk*m : rk*m+m]
+		inv := 1 / krow[k]
+		f.kcols = f.kcols[:0]
+		for _, j := range f.rowPat[rk] {
+			if int(j) > k {
+				f.kcols = append(f.kcols, j)
 			}
 		}
-		inv := 1 / f.lu[k*m+k]
-		for i := k + 1; i < m; i++ {
-			l := f.lu[i*m+k] * inv
+		for _, r := range act {
+			if int(r) == rk {
+				continue
+			}
+			ri := f.a[int(r)*m : int(r)*m+m]
+			l := ri[k] * inv
 			if l == 0 {
 				continue
 			}
-			f.lu[i*m+k] = l
-			ri, rk := f.lu[i*m:i*m+m], f.lu[k*m:k*m+m]
-			for j := k + 1; j < m; j++ {
-				ri[j] -= l * rk[j]
-			}
-		}
-	}
-	// Transposed copy: the triangular solves below walk columns of L/U
-	// in scatter form, which become contiguous rows of lut.
-	if cap(f.lut) < m*m {
-		f.lut = make([]float64, m*m)
-	}
-	f.lut = f.lut[:m*m]
-	const tb = 32 // cache-blocked transpose
-	for ib := 0; ib < m; ib += tb {
-		ie := ib + tb
-		if ie > m {
-			ie = m
-		}
-		for jb := 0; jb < m; jb += tb {
-			je := jb + tb
-			if je > m {
-				je = m
-			}
-			for i := ib; i < ie; i++ {
-				for j := jb; j < je; j++ {
-					f.lut[j*m+i] = f.lu[i*m+j]
+			ri[k] = l
+			// Only the pivot row's stored columns change row r; a fill-in
+			// is 0 − l·a_kj, written as its exact negation.
+			set := f.set[int(r)*m : int(r)*m+m]
+			for _, j := range f.kcols {
+				if set[j] {
+					ri[j] -= l * krow[j]
+					continue
 				}
+				ri[j] = -(l * krow[j])
+				set[j] = true
+				f.rowPat[r] = append(f.rowPat[r], j)
+				f.colPat[j] = append(f.colPat[j], r)
 			}
 		}
 	}
+	f.compress()
 	return nil
 }
 
-// luSolve solves (LU)x = Pv in place. Both triangular phases run in
-// scatter (outer-product) form over rows of the transposed factor:
-// column k of L/U is contiguous in lut, and a zero intermediate skips
-// its whole column update. Simplex right-hand sides are sparse (the
-// entering column for FTRAN), so most columns are skipped outright.
-func (f *luFactor) luSolve(x []float64) {
-	m := f.m
-	for k := 0; k < m; k++ {
-		if p := f.piv[k]; p != k {
-			x[k], x[p] = x[p], x[k]
+// clear readies the workspace for an m-row basis: it zeroes the entries
+// the previous factorization stored (or allocates afresh when m changed)
+// and resets the pivot order to the identity.
+func (f *luFactor) clear(m int) {
+	if m != f.m || len(f.a) != m*m {
+		f.m = m
+		f.a = make([]float64, m*m)
+		f.set = make([]bool, m*m)
+		f.rowPat = make([][]int32, m)
+		f.colPat = make([][]int32, m)
+		f.id = make([]int32, m)
+		f.pos = make([]int32, m)
+		f.next = make([]int32, m)
+		f.piv = make([]int, m)
+		f.diag = make([]float64, m)
+	}
+	for r := 0; r < m; r++ {
+		for _, c := range f.rowPat[r] {
+			f.a[r*m+int(c)] = 0
+			f.set[r*m+int(c)] = false
 		}
+		f.rowPat[r] = f.rowPat[r][:0]
+		f.colPat[r] = f.colPat[r][:0]
+		f.id[r], f.pos[r] = int32(r), int32(r)
+	}
+}
+
+// store sets entry (r, c) of the gathered basis.
+func (f *luFactor) store(r, c int, v float64) {
+	at := r*f.m + c
+	if !f.set[at] {
+		f.set[at] = true
+		f.rowPat[r] = append(f.rowPat[r], int32(c))
+		f.colPat[c] = append(f.colPat[c], int32(r))
+	}
+	f.a[at] = v
+}
+
+// compress extracts the nonzeros of the finished factors into the four
+// position-indexed views the triangular solves walk. Stored zeros
+// (cancellations, untouched multipliers) are dropped: subtracting 0·t
+// could only change the sign of a zero.
+func (f *luFactor) compress() {
+	m := f.m
+	f.uRow.reset(m)
+	f.lRow.reset(m)
+	f.swaps = f.swaps[:0]
+	for k := 0; k < m; k++ {
+		if f.piv[k] != k {
+			f.swaps = append(f.swaps, int32(k))
+		}
+		r := int(f.id[k])
+		row := f.a[r*m : r*m+m]
+		f.diag[k] = row[k]
+		for _, c := range f.rowPat[r] {
+			switch v := row[c]; {
+			case v == 0 || int(c) == k:
+			case int(c) > k:
+				f.uRow.add(c, v)
+			default:
+				f.lRow.add(c, v)
+			}
+		}
+		f.uRow.end(k)
+		f.lRow.end(k)
+	}
+	f.uCol.transpose(&f.uRow, m, f.next)
+	f.lCol.transpose(&f.lRow, m, f.next)
+	f.lCol.setLines(m, false, nil)
+	f.uCol.setLines(m, true, f.diag)
+	f.uRow.setLines(m, false, f.diag)
+	f.lRow.setLines(m, true, nil)
+}
+
+// luSolve solves (LU)x = Pv in place. Both triangular phases run in
+// scatter (outer-product) form down the columns of L and U: a zero
+// intermediate skips its whole column update. Simplex right-hand sides
+// are sparse (the entering column for FTRAN), so most columns are
+// skipped outright.
+func (f *luFactor) luSolve(x []float64) {
+	for _, k := range f.swaps {
+		p := f.piv[k]
+		x[k], x[p] = x[p], x[k]
 	}
 	// L y = Pv: y[k] known once reached; scatter down column k.
-	for k := 0; k < m-1; k++ {
+	for _, k := range f.lCol.lines {
 		t := x[k]
 		if t == 0 {
 			continue
 		}
-		ck := f.lut[k*m : k*m+m]
-		for i := k + 1; i < m; i++ {
-			x[i] -= ck[i] * t
+		lo, hi := f.lCol.ptr[k], f.lCol.ptr[k+1]
+		val := f.lCol.val[lo:hi]
+		for e, i := range f.lCol.idx[lo:hi] {
+			x[i] -= val[e] * t
 		}
 	}
 	// U x = y: backward scatter up column k.
-	for k := m - 1; k >= 0; k-- {
+	for _, k := range f.uCol.lines {
 		t := x[k]
 		if t == 0 {
 			continue
 		}
-		ck := f.lut[k*m : k*m+k]
-		t /= f.lut[k*m+k]
+		t /= f.diag[k]
 		x[k] = t
-		for i := 0; i < k; i++ {
-			x[i] -= ck[i] * t
+		lo, hi := f.uCol.ptr[k], f.uCol.ptr[k+1]
+		val := f.uCol.val[lo:hi]
+		for e, i := range f.uCol.idx[lo:hi] {
+			x[i] -= val[e] * t
 		}
 	}
 }
 
-// luSolveT solves (LU)ᵀw = v and applies Pᵀ in place. Scatter form over
-// rows of lu: row k of U (resp. L) is column k of Uᵀ (resp. Lᵀ), so both
-// phases get contiguous access plus the zero-skip — BTRAN right-hand
-// sides are unit vectors, making the skip the common case.
+// luSolveT solves (LU)ᵀw = v and applies Pᵀ in place, in scatter form
+// along the rows of U (resp. L) — the columns of Uᵀ (resp. Lᵀ) — with
+// the same zero-skip: BTRAN right-hand sides are unit vectors, making
+// the skip the common case.
 func (f *luFactor) luSolveT(x []float64) {
-	m := f.m
 	// Uᵀ z = v: forward scatter along row k of U.
-	for k := 0; k < m; k++ {
+	for _, k := range f.uRow.lines {
 		t := x[k]
 		if t == 0 {
 			continue
 		}
-		rk := f.lu[k*m : k*m+m]
-		t /= rk[k]
+		t /= f.diag[k]
 		x[k] = t
-		for i := k + 1; i < m; i++ {
-			x[i] -= rk[i] * t
+		lo, hi := f.uRow.ptr[k], f.uRow.ptr[k+1]
+		val := f.uRow.val[lo:hi]
+		for e, i := range f.uRow.idx[lo:hi] {
+			x[i] -= val[e] * t
 		}
 	}
 	// Lᵀ w = z: backward scatter along row k of L (unit diagonal).
-	for k := m - 1; k > 0; k-- {
+	for _, k := range f.lRow.lines {
 		t := x[k]
 		if t == 0 {
 			continue
 		}
-		rk := f.lu[k*m : k*m+k]
-		for i := 0; i < k; i++ {
-			x[i] -= rk[i] * t
+		lo, hi := f.lRow.ptr[k], f.lRow.ptr[k+1]
+		val := f.lRow.val[lo:hi]
+		for e, i := range f.lRow.idx[lo:hi] {
+			x[i] -= val[e] * t
 		}
 	}
-	for k := m - 1; k >= 0; k-- {
-		if p := f.piv[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
+	for n := len(f.swaps) - 1; n >= 0; n-- {
+		k := f.swaps[n]
+		p := f.piv[k]
+		x[k], x[p] = x[p], x[k]
 	}
 }
 
