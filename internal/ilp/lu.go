@@ -243,13 +243,20 @@ func (f *luFactor) clear(m int) {
 		f.m = m
 		f.a = make([]float64, m*m)
 		f.set = make([]bool, m*m)
-		f.rowPat = make([][]int32, m)
-		f.colPat = make([][]int32, m)
-		f.id = make([]int32, m)
-		f.pos = make([]int32, m)
-		f.next = make([]int32, m)
 		f.piv = make([]int, m)
 		f.diag = make([]float64, m)
+		// One allocation backs the index vectors and the first patCap
+		// entries of every pattern, so a fresh solver does not pay an
+		// allocation per row and column; a pattern outgrowing its share
+		// moves to its own array on append.
+		ints := make([]int32, 3*m+2*m*patCap)
+		f.id, f.pos, f.next = ints[:m:m], ints[m:2*m:2*m], ints[2*m:3*m:3*m]
+		pats := make([][]int32, 2*m)
+		for i := range pats {
+			at := 3*m + i*patCap
+			pats[i] = ints[at : at : at+patCap]
+		}
+		f.rowPat, f.colPat = pats[:m:m], pats[m:]
 	}
 	for r := 0; r < m; r++ {
 		for _, c := range f.rowPat[r] {
@@ -261,6 +268,10 @@ func (f *luFactor) clear(m int) {
 		f.id[r], f.pos[r] = int32(r), int32(r)
 	}
 }
+
+// patCap is the pattern room per row and column reserved up front: a
+// slack column adds one entry, a region-model structural column a few.
+const patCap = 4
 
 // store sets entry (r, c) of the gathered basis.
 func (f *luFactor) store(r, c int, v float64) {

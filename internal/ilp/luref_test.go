@@ -317,30 +317,32 @@ func captureBases(mod *Model, caps []int) (*prob, [][]int) {
 	return p, out
 }
 
-// solveBases draws bases from the solves of the benchmark models and
-// the region model: iteration caps spaced by a quarter of refactorEvery
-// cover the slack-heavy start, the mid-solve bases and (past the solve's
-// length) the optimal one.
-func solveBases(tb testing.TB) map[string]struct {
+// basisSet is a compiled model with bases drawn from its solve.
+type basisSet struct {
+	name  string
 	p     *prob
 	bases [][]int
-} {
+}
+
+// solveBases draws bases from the solves of the benchmark models and
+// the region model. The iteration caps cover the slack-heavy start
+// (1–8), bases within and at the end of the first eta file (24–96),
+// and later mid-solve bases up to, past the solve's length, the final
+// one.
+func solveBases(tb testing.TB) []basisSet {
 	caps := []int{1, 3, 8, 24, 48, 72, 96, 150, 250, 400, 800}
-	out := map[string]struct {
-		p     *prob
-		bases [][]int
-	}{}
-	for name, mod := range map[string]*Model{
-		"chunk":      BenchChunkModel(),
-		"knapsack":   BenchKnapsackModel(60, 7),
-		"assignment": BenchAssignmentModel(14, 4, 3),
-		"tasks":      loadModel(tb, tasksModelPath),
+	var out []basisSet
+	for _, c := range []struct {
+		name string
+		mod  *Model
+	}{
+		{"chunk", BenchChunkModel()},
+		{"knapsack", BenchKnapsackModel(60, 7)},
+		{"assignment", BenchAssignmentModel(14, 4, 3)},
+		{"tasks", loadModel(tb, tasksModelPath)},
 	} {
-		p, bases := captureBases(mod, caps)
-		out[name] = struct {
-			p     *prob
-			bases [][]int
-		}{p, bases}
+		p, bases := captureBases(c.mod, caps)
+		out = append(out, basisSet{c.name, p, bases})
 	}
 	return out
 }
@@ -501,12 +503,10 @@ func checkAgainstDense(t *testing.T, name string, f *luFactor, p *prob, basis []
 // switch between row counts).
 func TestSparseLUMatchesDense(t *testing.T) {
 	var f luFactor
-	set := solveBases(t)
-	for _, name := range []string{"chunk", "knapsack", "assignment", "tasks"} {
-		c := set[name]
+	for _, c := range solveBases(t) {
 		factored, updates := 0, 0
 		for i, b := range c.bases {
-			singular, n := checkAgainstDense(t, name+"/"+strconv.Itoa(i), &f, c.p, b)
+			singular, n := checkAgainstDense(t, c.name+"/"+strconv.Itoa(i), &f, c.p, b)
 			if t.Failed() {
 				return
 			}
@@ -519,7 +519,7 @@ func TestSparseLUMatchesDense(t *testing.T) {
 		// vacuously for want of factorizations or updates.
 		if factored != len(c.bases) || updates < refactorSteps() {
 			t.Errorf("%s: %d of %d bases factorized, %d updates compared",
-				name, factored, len(c.bases), updates)
+				c.name, factored, len(c.bases), updates)
 		}
 	}
 }
