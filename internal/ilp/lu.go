@@ -244,19 +244,7 @@ func (f *luFactor) clear(m int) {
 		f.a = make([]float64, m*m)
 		f.set = make([]bool, m*m)
 		f.piv = make([]int, m)
-		f.diag = make([]float64, m)
-		// One allocation backs the index vectors and the first patCap
-		// entries of every pattern, so a fresh solver does not pay an
-		// allocation per row and column; a pattern outgrowing its share
-		// moves to its own array on append.
-		ints := make([]int32, 3*m+2*m*patCap)
-		f.id, f.pos, f.next = ints[:m:m], ints[m:2*m:2*m], ints[2*m:3*m:3*m]
-		pats := make([][]int32, 2*m)
-		for i := range pats {
-			at := 3*m + i*patCap
-			pats[i] = ints[at : at : at+patCap]
-		}
-		f.rowPat, f.colPat = pats[:m:m], pats[m:]
+		f.carve(m)
 	}
 	for r := 0; r < m; r++ {
 		for _, c := range f.rowPat[r] {
@@ -269,9 +257,47 @@ func (f *luFactor) clear(m int) {
 	}
 }
 
-// patCap is the pattern room per row and column reserved up front: a
-// slack column adds one entry, a region-model structural column a few.
-const patCap = 4
+// Room reserved up front per row and column pattern (a slack column
+// adds one entry, a region-model structural column a few) and per line
+// of each solve view.
+const (
+	patCap  = 4
+	viewCap = 2
+)
+
+// carve sizes the index and value storage for an m-row basis out of two
+// arrays, so a new solver's first factorization allocates a fixed
+// handful of times instead of once per row, column and growing view.
+// Every piece is a capped window: a pattern or view that outgrows its
+// share moves to an array of its own on append.
+func (f *luFactor) carve(m int) {
+	ints := make([]int32, 3*m+2*m*patCap+4*(m+1)+5*m+4*viewCap*m)
+	vals := make([]float64, m+4*viewCap*m)
+	take := func(n int) []int32 {
+		s := ints[:n:n]
+		ints = ints[n:]
+		return s
+	}
+	takeVals := func(n int) []float64 {
+		s := vals[:n:n]
+		vals = vals[n:]
+		return s
+	}
+	f.id, f.pos, f.next = take(m), take(m), take(m)
+	pats := make([][]int32, 2*m)
+	for i := range pats {
+		pats[i] = take(patCap)[:0]
+	}
+	f.rowPat, f.colPat = pats[:m:m], pats[m:]
+	f.swaps = take(m)[:0]
+	f.diag = takeVals(m)
+	for _, t := range [...]*sparseTri{&f.lCol, &f.uCol, &f.uRow, &f.lRow} {
+		t.ptr = take(m + 1)
+		t.lines = take(m)[:0]
+		t.idx = take(viewCap * m)[:0]
+		t.val = takeVals(viewCap * m)[:0]
+	}
+}
 
 // store sets entry (r, c) of the gathered basis.
 func (f *luFactor) store(r, c int, v float64) {
