@@ -33,7 +33,6 @@ type luFactor struct {
 	id     []int32   // position -> row
 	pos    []int32   // row -> position
 	kcols  []int32   // scratch: the pivot row's stored columns right of k
-	next   []int32   // scratch: fill cursors of a transpose
 	piv    []int     // position swaps applied during factorization
 	swaps  []int32   // the positions k with piv[k] != k, ascending
 	// The nonzeros of the finished factors, indexed by position: L and
@@ -49,10 +48,12 @@ type luFactor struct {
 }
 
 // sparseTri is one compressed triangular factor: line k (a row or a
-// column, by view) holds idx/val[ptr[k]:ptr[k+1]]. lines lists, in the
-// order the solve visits them, the lines that do any arithmetic: the
-// nonempty ones, plus for U every position whose diagonal is not 1.
-// A skipped line would only subtract nothing or divide by one.
+// column, by view) holds idx/val[ptr[k]:ptr[k+1]]. lines lists, in
+// ascending order, the lines that do any arithmetic: the nonempty ones,
+// plus for U every position whose diagonal is not 1. A skipped line
+// would only subtract nothing or divide by one. Backward solves walk
+// lines from the end. Within a line the entries may come in any order:
+// each one updates a different component.
 type sparseTri struct {
 	ptr   []int32
 	idx   []int32
@@ -66,11 +67,10 @@ func (t *sparseTri) reset(m int) {
 		t.ptr = make([]int32, m+1)
 	}
 	t.ptr = t.ptr[:m+1]
-	for k := range t.ptr {
-		t.ptr[k] = 0
-	}
+	t.ptr[0] = 0
 	t.idx = t.idx[:0]
 	t.val = t.val[:0]
+	t.lines = t.lines[:0]
 }
 
 // add appends entry (i, v) to the line being built.
@@ -79,51 +79,12 @@ func (t *sparseTri) add(i int32, v float64) {
 	t.val = append(t.val, v)
 }
 
-// end closes line k.
-func (t *sparseTri) end(k int) { t.ptr[k+1] = int32(len(t.idx)) }
-
-// transpose sets t to the transpose of the m-line s; within each line
-// of t the entries come in ascending index order. next is scratch of
-// length m.
-func (t *sparseTri) transpose(s *sparseTri, m int, next []int32) {
-	t.reset(m)
-	for _, c := range s.idx {
-		t.ptr[c+1]++
-	}
-	for k := 0; k < m; k++ {
-		t.ptr[k+1] += t.ptr[k]
-	}
-	n := int(t.ptr[m])
-	if cap(t.idx) < n {
-		t.idx = make([]int32, n)
-		t.val = make([]float64, n)
-	}
-	t.idx, t.val = t.idx[:n], t.val[:n]
-	copy(next, t.ptr[:m])
-	for k := 0; k < m; k++ {
-		for e := s.ptr[k]; e < s.ptr[k+1]; e++ {
-			c := s.idx[e]
-			at := next[c]
-			next[c]++
-			t.idx[at] = int32(k)
-			t.val[at] = s.val[e]
-		}
-	}
-}
-
-// setLines records the working lines of t in ascending or descending
-// order; diag, when non-nil, keeps the positions with a non-unit
-// diagonal (the U views).
-func (t *sparseTri) setLines(m int, desc bool, diag []float64) {
-	t.lines = t.lines[:0]
-	for n := 0; n < m; n++ {
-		k := n
-		if desc {
-			k = m - 1 - n
-		}
-		if t.ptr[k+1] > t.ptr[k] || (diag != nil && diag[k] != 1) {
-			t.lines = append(t.lines, int32(k))
-		}
+// end closes line k, listing it as working when it is nonempty or
+// work is set (a non-unit U diagonal).
+func (t *sparseTri) end(k int, work bool) {
+	t.ptr[k+1] = int32(len(t.idx))
+	if work || t.ptr[k+1] > t.ptr[k] {
+		t.lines = append(t.lines, int32(k))
 	}
 }
 
@@ -165,23 +126,14 @@ func (f *luFactor) factorize(p *prob, basis []int) error {
 	}
 	// Doolittle with partial pivoting over the stored entries.
 	for k := 0; k < m; k++ {
-		// Keep only the rows still at positions ≥ k in column k's
-		// pattern; the earlier ones hold U entries, which the solves read
-		// from the row patterns.
-		act := f.colPat[k][:0]
-		for _, r := range f.colPat[k] {
-			if int(f.pos[r]) >= k {
-				act = append(act, r)
-			}
-		}
-		f.colPat[k] = act
 		// Largest |a| at positions ≥ k; the strict > keeps the diagonal,
 		// and among equal candidates the earliest position, as a dense
-		// top-down scan would.
+		// top-down scan would. Rows at earlier positions hold U entries
+		// of column k and take no part.
 		pr, pv := k, math.Abs(f.a[int(f.id[k])*m+k])
-		for _, r := range act {
+		for _, r := range f.colPat[k] {
 			ps := int(f.pos[r])
-			if ps == k {
+			if ps <= k {
 				continue
 			}
 			if v := math.Abs(f.a[int(r)*m+k]); v > pv || (v == pv && ps < pr) {
@@ -206,8 +158,8 @@ func (f *luFactor) factorize(p *prob, basis []int) error {
 				f.kcols = append(f.kcols, j)
 			}
 		}
-		for _, r := range act {
-			if int(r) == rk {
+		for _, r := range f.colPat[k] {
+			if int(f.pos[r]) <= k {
 				continue
 			}
 			ri := f.a[int(r)*m : int(r)*m+m]
@@ -244,7 +196,11 @@ func (f *luFactor) clear(m int) {
 		f.a = make([]float64, m*m)
 		f.set = make([]bool, m*m)
 		f.piv = make([]int, m)
-		f.carve(m)
+		f.id = make([]int32, m)
+		f.pos = make([]int32, m)
+		f.diag = make([]float64, m)
+		f.rowPat = make([][]int32, m)
+		f.colPat = make([][]int32, m)
 	}
 	for r := 0; r < m; r++ {
 		for _, c := range f.rowPat[r] {
@@ -254,48 +210,6 @@ func (f *luFactor) clear(m int) {
 		f.rowPat[r] = f.rowPat[r][:0]
 		f.colPat[r] = f.colPat[r][:0]
 		f.id[r], f.pos[r] = int32(r), int32(r)
-	}
-}
-
-// Room reserved up front per row and column pattern (a slack column
-// adds one entry, a region-model structural column a few) and per line
-// of each solve view.
-const (
-	patCap  = 4
-	viewCap = 2
-)
-
-// carve sizes the index and value storage for an m-row basis out of two
-// arrays, so a new solver's first factorization allocates a fixed
-// handful of times instead of once per row, column and growing view.
-// Every piece is a capped window: a pattern or view that outgrows its
-// share moves to an array of its own on append.
-func (f *luFactor) carve(m int) {
-	ints := make([]int32, 3*m+2*m*patCap+4*(m+1)+5*m+4*viewCap*m)
-	vals := make([]float64, m+4*viewCap*m)
-	take := func(n int) []int32 {
-		s := ints[:n:n]
-		ints = ints[n:]
-		return s
-	}
-	takeVals := func(n int) []float64 {
-		s := vals[:n:n]
-		vals = vals[n:]
-		return s
-	}
-	f.id, f.pos, f.next = take(m), take(m), take(m)
-	pats := make([][]int32, 2*m)
-	for i := range pats {
-		pats[i] = take(patCap)[:0]
-	}
-	f.rowPat, f.colPat = pats[:m:m], pats[m:]
-	f.swaps = take(m)[:0]
-	f.diag = takeVals(m)
-	for _, t := range [...]*sparseTri{&f.lCol, &f.uCol, &f.uRow, &f.lRow} {
-		t.ptr = take(m + 1)
-		t.lines = take(m)[:0]
-		t.idx = take(viewCap * m)[:0]
-		t.val = takeVals(viewCap * m)[:0]
 	}
 }
 
@@ -311,13 +225,16 @@ func (f *luFactor) store(r, c int, v float64) {
 }
 
 // compress extracts the nonzeros of the finished factors into the four
-// position-indexed views the triangular solves walk. Stored zeros
-// (cancellations, untouched multipliers) are dropped: subtracting 0·t
-// could only change the sign of a zero.
+// position-indexed views the triangular solves walk: the row views from
+// the row patterns, the column views from the column patterns. Stored
+// zeros (cancellations, untouched multipliers) are dropped: subtracting
+// 0·t could only change the sign of a zero.
 func (f *luFactor) compress() {
 	m := f.m
 	f.uRow.reset(m)
 	f.lRow.reset(m)
+	f.uCol.reset(m)
+	f.lCol.reset(m)
 	f.swaps = f.swaps[:0]
 	for k := 0; k < m; k++ {
 		if f.piv[k] != k {
@@ -335,15 +252,22 @@ func (f *luFactor) compress() {
 				f.lRow.add(c, v)
 			}
 		}
-		f.uRow.end(k)
-		f.lRow.end(k)
+		f.uRow.end(k, f.diag[k] != 1)
+		f.lRow.end(k, false)
 	}
-	f.uCol.transpose(&f.uRow, m, f.next)
-	f.lCol.transpose(&f.lRow, m, f.next)
-	f.lCol.setLines(m, false, nil)
-	f.uCol.setLines(m, true, f.diag)
-	f.uRow.setLines(m, false, f.diag)
-	f.lRow.setLines(m, true, nil)
+	for k := 0; k < m; k++ {
+		for _, r := range f.colPat[k] {
+			switch v, p := f.a[int(r)*m+k], f.pos[r]; {
+			case v == 0 || int(p) == k:
+			case int(p) < k:
+				f.uCol.add(p, v)
+			default:
+				f.lCol.add(p, v)
+			}
+		}
+		f.uCol.end(k, f.diag[k] != 1)
+		f.lCol.end(k, false)
+	}
 }
 
 // luSolve solves (LU)x = Pv in place. Both triangular phases run in
@@ -369,7 +293,8 @@ func (f *luFactor) luSolve(x []float64) {
 		}
 	}
 	// U x = y: backward scatter up column k.
-	for _, k := range f.uCol.lines {
+	for n := len(f.uCol.lines) - 1; n >= 0; n-- {
+		k := f.uCol.lines[n]
 		t := x[k]
 		if t == 0 {
 			continue
@@ -404,7 +329,8 @@ func (f *luFactor) luSolveT(x []float64) {
 		}
 	}
 	// Lᵀ w = z: backward scatter along row k of L (unit diagonal).
-	for _, k := range f.lRow.lines {
+	for n := len(f.lRow.lines) - 1; n >= 0; n-- {
+		k := f.lRow.lines[n]
 		t := x[k]
 		if t == 0 {
 			continue
